@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-pytest bench-smoke million million-smoke profile chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke trace-smoke-core trace-bench-gate list-scenarios clean
+.PHONY: test bench bench-pytest bench-smoke million million-smoke profile perfbench catalog-gate chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke trace-smoke-core trace-bench-gate list-scenarios clean
 
 # Scenario to profile with `make profile` (override: make profile SCENARIO=...).
 SCENARIO ?= bench/hashchain-heavy
@@ -28,6 +28,18 @@ million-smoke:
 profile:
 	$(PYTHON) -m repro.bench profile $(SCENARIO) --limit 30 \
 	  --out-collapsed results/profile-collapsed.txt
+
+# The repository benchmark (BENCHMARK.json): every workload, end-to-end
+# metrics plus the correctness gate.  Per-layer numbers: add --trace 1.
+perfbench:
+	python3 perfbench/run.py
+
+# Catalog byte-identity gate: re-sweep every catalog scenario at --scale 50
+# and diff one sha256 per artifact against tests/golden/catalog_digests.json.
+catalog-gate:
+	rm -rf results/catalog
+	$(PYTHON) -m repro sweep --scale 50 --jobs 2 --quiet --out results/catalog
+	$(PYTHON) tools/catalog_digests.py check results/catalog
 
 # One registry scenario through the CLI, persisting its RunResult artifact.
 bench-smoke:

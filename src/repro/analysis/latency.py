@@ -100,15 +100,17 @@ def stage_latencies(metrics: MetricsCollector,
     mempool_stages = ( _mempool_stage_times(metrics, mempool_arrivals, quorum)
                        if mempool_arrivals else {})
 
-    for record in metrics.elements.values():
-        if record.injected_at is None:
+    # NaN marks an unobserved stage (``x != x``).
+    for element_id, (start, in_ledger, committed) in enumerate(zip(
+            metrics.column("injected_at"), metrics.column("in_ledger_at"),
+            metrics.column("committed_at")), metrics.first_id):
+        if start != start:
             continue
-        start = record.injected_at
-        if record.in_ledger_at is not None:
-            ledger_latencies.append(record.in_ledger_at - start)
-        if record.committed_at is not None:
-            commit_latencies.append(record.committed_at - start)
-        stage = mempool_stages.get(record.element_id)
+        if in_ledger == in_ledger:
+            ledger_latencies.append(in_ledger - start)
+        if committed == committed:
+            commit_latencies.append(committed - start)
+        stage = mempool_stages.get(element_id)
         if stage is not None:
             first, quorum_time, all_time = stage
             if first is not None:

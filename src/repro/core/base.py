@@ -393,16 +393,16 @@ class BaseSetchainServer(NetworkNode, Application):
         self._history[self._epoch] = elements
         element_ids = [element.element_id for element in elements]
         self._epoched_ids.update(element_ids)
+        proof = create_epoch_proof(self.scheme, self.keypair, self._epoch, elements)
+        self._epoch_hashes[self._epoch] = proof.epoch_hash
         if self.metrics is not None:
             self.metrics.record_epoch_created(self.name, self._epoch, len(elements),
                                               self.sim.now)
             self.metrics.record_epoch_assigned_many(element_ids, self._epoch,
-                                                    self.sim.now)
+                                                    self.sim.now, proof.epoch_hash)
         if self.tracer is not None:
             self.tracer.phase_many(element_ids, "epoch_assigned",
                                    self.sim.now, self.name)
-        proof = create_epoch_proof(self.scheme, self.keypair, self._epoch, elements)
-        self._epoch_hashes[self._epoch] = proof.epoch_hash
         if self._future_proofs:
             ready = [p for p in self._future_proofs if p.epoch_number <= self._epoch]
             if ready:
@@ -493,7 +493,7 @@ class BaseSetchainServer(NetworkNode, Application):
                 if self.metrics is not None:
                     self.metrics.record_epoch_committed(
                         proof.epoch_number, elements, self.sim.now,
-                        observer=self.name)
+                        observer=self.name, epoch_hash=proof.epoch_hash)
 
     def _on_quorum_change(self, quorum: int, block: Block) -> None:
         """React to a membership epoch boundary changing the f+1 quorum.
@@ -513,7 +513,8 @@ class BaseSetchainServer(NetworkNode, Application):
                 if self.metrics is not None:
                     self.metrics.record_epoch_committed(
                         epoch_number, self._history[epoch_number],
-                        self.sim.now, observer=self.name)
+                        self.sim.now, observer=self.name,
+                        epoch_hash=self._epoch_hashes[epoch_number])
 
     def _append_to_ledger(self, payload: object, size_bytes: int) -> Transaction:
         """``L.append`` with bookkeeping of the originating server."""

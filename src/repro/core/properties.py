@@ -48,8 +48,14 @@ def check_get_global(views: Mapping[str, SetchainView]) -> list[PropertyViolatio
     """Property 3 (Get-Global): an element in one correct server's the_set is in all."""
     violations: list[PropertyViolation] = []
     names = sorted(views)
+    sets = [views[name].the_set for name in names]
+    # Elements every server holds cannot violate the property; only the rest
+    # need the pairwise scan (same violations, in the same order).
+    common = frozenset(sets[0]).intersection(*sets[1:]) if sets else frozenset()
     for holder in names:
         for element in views[holder].the_set:
+            if element in common:
+                continue
             for other in names:
                 if other == holder:
                     continue

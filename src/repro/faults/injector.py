@@ -348,13 +348,17 @@ class FaultInjector:
         # elements injected in each window that eventually committed.
         window = self.schedule.availability_window
         duration = deployment.config.workload.injection_duration
+        # Lifecycle columns: NaN marks an unobserved stage and fails every
+        # comparison, so unobserved injections drop out of both passes.
+        injected = metrics.column("injected_at")
+        committed = metrics.column("committed_at")
         buckets: dict[int, list[int]] = {}
-        for record in metrics.elements.values():
-            if record.injected_at is None or record.injected_at >= duration:
+        for injected_at, committed_at in zip(injected, committed):
+            if not injected_at < duration:
                 continue
-            bucket = buckets.setdefault(int(record.injected_at // window), [0, 0])
+            bucket = buckets.setdefault(int(injected_at // window), [0, 0])
             bucket[0] += 1
-            if record.committed:
+            if committed_at == committed_at:
                 bucket[1] += 1
         windows = [{"start": index * window, "injected": count,
                     "committed": done,
@@ -364,11 +368,10 @@ class FaultInjector:
         # Commit latency inside vs outside active fault windows.
         during: list[float] = []
         outside: list[float] = []
-        for record in metrics.elements.values():
-            latency = record.commit_latency()
-            if latency is None or record.injected_at is None:
+        for injected_at, committed_at in zip(injected, committed):
+            latency = committed_at - injected_at
+            if latency != latency:
                 continue
-            injected_at = record.injected_at
             if any(start <= injected_at < end for start, end in intervals):
                 during.append(latency)
             else:

@@ -416,9 +416,9 @@ class ServiceRuntime:
             injected_ids = {e.element_id for e in deployment.injected_elements}
             committed_total = metrics.committed_count
             committed_this_run = sum(
-                1 for record in metrics.elements.values()
-                if record.committed_at is not None
-                and record.element_id in injected_ids)
+                1 for element_id, committed_at in enumerate(
+                    metrics.column("committed_at"), metrics.first_id)
+                if committed_at == committed_at and element_id in injected_ids)
             injected = len(deployment.injected_elements)
             servers = {
                 server.name: {"crashed": server.crashed,

@@ -21,7 +21,7 @@ def element_signing_payload(element_id: int, client: str, size_bytes: int,
     return f"element|{element_id}|{client}|{size_bytes}|{body_digest}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Element:
     """A client-created Setchain element.
 
@@ -62,20 +62,27 @@ class Element:
     #: paths, and the fields never change.
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
+    def __init__(self, element_id: int, client: str, size_bytes: int,
+                 body_digest: str, signature: bytes = b"",
+                 created_at: float = 0.0, valid: bool = True) -> None:
+        # Hundreds of thousands of elements are built per run, so the frozen
+        # fields are written through their slot descriptors (bound once below
+        # the class) instead of one ``object.__setattr__`` call each.
+        if size_bytes <= 0:
             raise InvalidElementError("element size must be positive")
-        object.__setattr__(self, "_canonical",
-                           element_signing_payload(self.element_id, self.client,
-                                                   self.size_bytes,
-                                                   self.body_digest).encode())
+        _set_element_id(self, element_id)
+        _set_client(self, client)
+        _set_size_bytes(self, size_bytes)
+        _set_body_digest(self, body_digest)
+        _set_signature(self, signature)
+        _set_created_at(self, created_at)
+        _set_valid(self, valid)
+        _set_canonical(self, element_signing_payload(
+            element_id, client, size_bytes, body_digest).encode())
         # Same tuple the dataclass-generated __hash__ would hash (the compare
         # fields, in declaration order), so set iteration orders are unchanged.
-        object.__setattr__(
-            self, "_hash",
-            hash((self.element_id, self.client, self.size_bytes,
-                  self.body_digest, self.signature, self.created_at,
-                  self.valid)))
+        _set_hash(self, hash((element_id, client, size_bytes, body_digest,
+                              signature, created_at, valid)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -88,6 +95,11 @@ class Element:
     def is_element(self) -> bool:
         """Type tag used when unpacking mixed batches (elements + epoch-proofs)."""
         return True
+
+
+(_set_element_id, _set_client, _set_size_bytes, _set_body_digest,
+ _set_signature, _set_created_at, _set_valid, _set_canonical, _set_hash) = (
+    getattr(Element, name).__set__ for name in Element.__slots__)
 
 
 def make_element(client: str, size_bytes: int, body_digest: str = "",
@@ -106,7 +118,6 @@ def make_elements(client: str, sizes: list[int],
     called once per size, with the constructor lookups hoisted."""
     counter = _element_counter
     make = Element
-    return [make(element_id=(eid := next(counter)), client=client,
-                 size_bytes=size, body_digest=f"digest-{eid}",
-                 created_at=created_at)
+    return [make(eid := next(counter), client, size, f"digest-{eid}", b"",
+                 created_at)
             for size in sizes]

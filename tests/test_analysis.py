@@ -15,7 +15,7 @@ from repro.analysis.analytical import (
 from repro.analysis.committime import commit_time_quantiles
 from repro.analysis.efficiency import efficiency_at, efficiency_profile
 from repro.analysis.latency import latency_cdf, stage_latencies
-from repro.analysis.metrics import MetricsCollector
+from repro.analysis.metrics import ElementRecord, MetricsCollector
 from repro.analysis.report import render_series, render_table
 from repro.analysis.throughput import (
     ThroughputSeries,
@@ -24,7 +24,7 @@ from repro.analysis.throughput import (
     rolling_throughput,
 )
 from repro.errors import ConfigurationError
-from repro.workload.elements import make_element
+from repro.workload.elements import Element, make_element
 
 
 # -- analytical model (Appendix D.1) ------------------------------------------------------
@@ -116,6 +116,134 @@ def test_metrics_counts_and_ordering():
     assert metrics.commit_latencies() == [2.0, 2.0, 8.0]
     records = metrics.records()
     assert [r.injected_at for r in records] == [0.0, 1.0, 2.0]
+
+
+# -- lifecycle columns -------------------------------------------------------------------
+
+def _element(element_id, size=100):
+    return Element(element_id, "c", size, f"d{element_id}")
+
+
+def test_columns_keep_each_stages_first_observation():
+    metrics = MetricsCollector()
+    a, b = _element(10), _element(11, size=7)
+    metrics.record_injected_many([a, b], 1.0)
+    metrics.record_injected_many([a], 9.0)
+    metrics.record_added_many([b], "server-0", 2.0)
+    metrics.record_added(b, "server-1", 3.0)
+    metrics.record_in_ledger_many([10, 11], 4.0)
+    metrics.record_in_ledger(11, 8.0)
+    metrics.record_epoch_assigned_many([10, 11], 1, 5.0)
+    metrics.record_epoch_assigned(11, 2, 6.0)
+    metrics.record_epoch_committed(1, [a, b], 7.0)
+    metrics.record_epoch_committed(2, [b], 8.0)
+    assert metrics.elements[11] == ElementRecord(
+        element_id=11, size_bytes=7, injected_at=1.0, added_at=2.0,
+        in_ledger_at=4.0, epoch_number=1, epoch_assigned_at=5.0,
+        committed_at=7.0)
+    assert metrics.injected_count == 2 and metrics.committed_count == 2
+    column = metrics.column("committed_at")
+    assert column[:2].tolist() == [7.0, 7.0]
+    assert all(t != t for t in column[2:])  # headroom rows are unset
+    with pytest.raises(KeyError):
+        metrics.column("size_bytes")
+
+
+def test_duplicate_id_in_one_batch_counts_once():
+    metrics = MetricsCollector()
+    a = _element(3)
+    metrics.record_injected_many([a, a, a], 1.0)
+    metrics.record_added_many([a, a], "server-0", 1.5)
+    metrics.record_epoch_committed(1, [a, a], 2.0)
+    assert metrics.injected_count == 1
+    assert metrics.committed_count == 1
+    assert metrics.commit_times() == [2.0]
+    assert len(metrics.elements) == 1
+
+
+def test_lower_id_rebases_the_columns_without_loss():
+    metrics = MetricsCollector()
+    high = [_element(i) for i in range(1000, 1100)]
+    metrics.record_injected_many(high, 1.0)
+    metrics.record_epoch_committed(1, high[:50], 3.0)
+    low = [_element(i) for i in (5, 2)]
+    metrics.record_injected_many(low, 2.0)
+    metrics.record_in_ledger(0, 4.0)
+    assert metrics.first_id <= 0
+    assert list(metrics.elements) == [0, 2, 5] + list(range(1000, 1100))
+    assert metrics.elements[1000].committed_at == 3.0
+    assert metrics.elements[1099].committed_at is None
+    assert metrics.elements[5].injected_at == 2.0
+    assert metrics.elements[0] == ElementRecord(element_id=0, in_ledger_at=4.0)
+    assert 1 not in metrics.elements and 1100 not in metrics.elements
+    assert metrics.commit_latencies() == [2.0] * 50
+    assert metrics.injected_count == 102
+
+
+def test_region_and_shard_tallies():
+    metrics = MetricsCollector()
+    metrics.set_region_map({"server-0": "eu", "server-1": "us", "server-2": "us"})
+    metrics.set_shard_map({"server-0": 0, "server-1": 0, "server-2": 1})
+    elements = [_element(i) for i in range(6)]
+    metrics.record_added_many(elements[:4], "server-0", 1.0)
+    metrics.record_added_many(elements[2:], "server-1", 1.5)
+    metrics.record_added(elements[5], "server-2", 1.7)
+    metrics.record_epoch_committed(1, elements[:3], 5.0, observer="server-1")
+    metrics.record_epoch_committed(1, elements[:5], 6.0, observer="server-2")
+    metrics.record_epoch_committed(2, elements[5:], 7.0, observer="server-0")
+    assert metrics.region_added == {"eu": 4, "us": 2}
+    assert metrics.shard_added == {0: 6, 1: 0}
+    assert metrics.region_committed == {"eu": 1, "us": 5}
+    assert metrics.region_first_commit == {"us": 5.0, "eu": 7.0}
+    assert metrics.shard_committed == {0: 4, 1: 2}
+    assert metrics.shard_commit_times == {0: [5.0, 5.0, 5.0, 7.0], 1: [6.0, 6.0]}
+    assert metrics.region_summary()["us"] == {
+        "servers": 2, "added": 2, "committed": 5, "first_commit": 5.0}
+
+
+def test_elements_view_and_records_read_back_the_columns():
+    metrics = MetricsCollector()
+    early, late, lost = _element(20, 5), _element(21, 6), _element(22, 8)
+    metrics.record_injected_many([late], 2.0)
+    metrics.record_injected(early, 1.0)
+    metrics.record_added_many([early, late, lost], "server-0", 2.5)
+    metrics.record_epoch_assigned_many([20], 4, 3.0)
+    metrics.record_epoch_committed(4, [early], 3.5)
+    assert metrics.records() == [
+        ElementRecord(element_id=20, size_bytes=5, injected_at=1.0,
+                      added_at=2.5, epoch_number=4, epoch_assigned_at=3.0,
+                      committed_at=3.5),
+        ElementRecord(element_id=21, size_bytes=6, injected_at=2.0,
+                      added_at=2.5),
+        ElementRecord(element_id=22, size_bytes=8, added_at=2.5),
+    ]
+    assert dict(metrics.elements.items()) == {
+        r.element_id: r for r in metrics.records()}
+    assert metrics.elements.get(99) is None
+    assert metrics.elements[20].commit_latency() == pytest.approx(2.5)
+
+
+def test_epoch_memo_stamps_one_set_once_and_lets_equivocation_through():
+    metrics = MetricsCollector()
+    a, b, c = _element(1), _element(2), _element(3)
+    metrics.record_epoch_assigned_many([1, 2], 1, 1.0, "h1")
+    metrics.record_epoch_assigned_many([1, 2], 1, 2.0, "h1")
+    assert metrics._epoch_assigned_done == {(1, "h1")}
+    # Equivocation: another set under the same epoch number has its own hash.
+    metrics.record_epoch_assigned_many([3], 1, 2.5, "h1-forged")
+    assert metrics.elements[3].epoch_assigned_at == 2.5
+    metrics.record_epoch_committed(1, [a, b], 3.0, observer="server-0",
+                                   epoch_hash="h1")
+    # The same (epoch, hash) from another observer skips the element pass...
+    metrics.record_epoch_committed(1, [a, b, c], 4.0, observer="server-1",
+                                   epoch_hash="h1")
+    assert metrics.elements[3].committed_at is None
+    # ... while a different hash for the same epoch is stamped.
+    metrics.record_epoch_committed(1, [c], 5.0, observer="server-2",
+                                   epoch_hash="h1-forged")
+    assert [metrics.elements[i].committed_at for i in (1, 2, 3)] == [3.0, 3.0, 5.0]
+    assert metrics.committed_count == 3
+    assert metrics.epoch_commit_times == {1: 3.0}
 
 
 # -- throughput ---------------------------------------------------------------------------

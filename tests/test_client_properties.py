@@ -64,6 +64,35 @@ def test_get_global_and_eventual_get():
     assert not check_eventual_get(holder)
 
 
+def _pairwise_get_global(views):
+    """The plain O(n^2 * |set|) scan that check_get_global must agree with."""
+    found = []
+    names = sorted(views)
+    for holder in names:
+        for element in views[holder].the_set:
+            for other in names:
+                if other != holder and element not in views[other].the_set:
+                    found.append(f"element {element.element_id} in {holder}'s "
+                                 f"the_set but missing from {other}'s")
+    return found
+
+
+def test_get_global_matches_the_pairwise_scan_on_divergent_views():
+    shared = [make_element("c", 10) for _ in range(20)]
+    extra = [make_element("c", 10) for _ in range(6)]
+    views = {
+        "s2": make_view(the_set=shared + extra[:2]),
+        "s0": make_view(the_set=shared + extra[1:4]),
+        "s1": make_view(the_set=shared[:15] + extra[4:]),
+        "s3": make_view(the_set=shared),
+    }
+    violations = check_get_global(views)
+    assert [v.detail for v in violations] == _pairwise_get_global(views)
+    assert len(violations) == 34
+    assert check_get_global({}) == []
+    assert check_get_global({"solo": views["s0"]}) == []
+
+
 def test_add_before_get_and_add_get_local():
     e, foreign = make_element("c", 10), make_element("c", 10)
     view = make_view(the_set=[e, foreign], history={1: [e, foreign]}, epoch=1)

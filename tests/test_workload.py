@@ -1,5 +1,8 @@
 """Tests for elements, the Arbitrum-like generator, clients, and traces."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.config import WorkloadConfig
@@ -32,6 +35,37 @@ def test_make_element_assigns_unique_ids():
 def test_element_rejects_non_positive_size():
     with pytest.raises(InvalidElementError):
         Element(element_id=1, client="c", size_bytes=0, body_digest="d")
+    with pytest.raises(InvalidElementError):
+        Element(1, "c", -3, "d")
+
+
+def test_element_is_frozen():
+    element = make_element("c", 100)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        element.size_bytes = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        element._hash = 0
+
+
+def test_element_hash_is_the_generated_field_tuple_hash():
+    element = Element(7, "client-1", 300, "digest-x", b"sig", 2.5, False)
+    assert hash(element) == hash((7, "client-1", 300, "digest-x", b"sig",
+                                  2.5, False))
+
+
+def test_element_eq_repr_and_pickle_unchanged():
+    element = Element(element_id=7, client="client-1", size_bytes=300,
+                      body_digest="digest-x", signature=b"sig", created_at=2.5)
+    twin = Element(7, "client-1", 300, "digest-x", b"sig", 2.5, True)
+    assert element == twin and hash(element) == hash(twin)
+    assert element != Element(7, "client-1", 300, "digest-x", b"sig", 2.5, False)
+    assert repr(element) == (
+        "Element(element_id=7, client='client-1', size_bytes=300, "
+        "body_digest='digest-x', signature=b'sig', created_at=2.5, valid=True)")
+    clone = pickle.loads(pickle.dumps(element))
+    assert clone == element and hash(clone) == hash(element)
+    assert clone.canonical_bytes() == element.canonical_bytes()
+    assert element.canonical_bytes() == b"element|7|client-1|300|digest-x"
 
 
 def test_element_canonical_bytes_stable_and_distinct():
